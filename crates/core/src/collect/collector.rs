@@ -41,9 +41,8 @@ pub enum CollectionEvent {
     },
 }
 
-/// Cap on the per-location history pre-reservation shared by the global
-/// [`Collector`] and the sharded
-/// [`ShardedCollector`](crate::collect::ShardedCollector). Pre-sizing lets
+/// Cap on the per-location history pre-reservation of a [`Collector`].
+/// Pre-sizing lets
 /// steady-state sampling append without reallocating — each location gets
 /// one value per sampled iteration — but a temporal characteristic
 /// spanning the whole simulation (millions of iterations) must not commit
@@ -52,16 +51,14 @@ pub enum CollectionEvent {
 /// the cap fall back to amortized `Vec` growth (a per-series allocation
 /// every doubling, still nothing per row); windowed retention additionally
 /// caps the reservation at the window's bounded backing storage.
-pub(crate) const MAX_EAGER_SAMPLES_PER_LOCATION: usize = 4096;
+const MAX_EAGER_SAMPLES_PER_LOCATION: usize = 4096;
 
 /// Widens a requested [`Retention`] policy to the AR model's lagged reach:
 /// the deepest lagged read any layout performs is `order` strides of
 /// `ceil(lag / step)` sampled iterations (the purely temporal layout), and
-/// the window must cover it plus the target iteration itself. Shared by the
-/// single-store [`Collector`] and the sharded
-/// [`ShardedCollector`](crate::collect::ShardedCollector) so both bound
-/// memory without ever starving batch assembly or forecasting.
-pub(crate) fn widened_retention(
+/// the window must cover it plus the target iteration itself, so bounding
+/// memory never starves batch assembly or forecasting.
+fn widened_retention(
     retention: Retention,
     order: usize,
     lag: u64,

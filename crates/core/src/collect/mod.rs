@@ -24,17 +24,15 @@
 //!   configurable [`Retention`] policy ([`Retention::Window`] bounds
 //!   per-location memory for indefinitely-running analyses).
 //!
-//! For domain-decomposed simulations, [`ShardedCollector`] partitions one
-//! analysis' locations by rank ownership into per-shard slot-indexed
-//! stores that record and assemble communication-free in parallel and
-//! merge back bit-identically (see [`ShardedCollector`]).
+//! Domain-decomposed simulations run one engine — and so one
+//! [`Collector`] per analysis — on each rank: the ranks are the
+//! parallelism, and collection needs no cross-rank communication.
 
 mod assembler;
 mod collector;
 mod history;
 mod minibatch;
 mod sample;
-mod shard;
 
 pub use assembler::{BatchAssembler, PredictorLayout};
 pub(crate) use collector::CollectorState;
@@ -42,5 +40,3 @@ pub use collector::{CollectionEvent, Collector};
 pub use history::{Retention, SampleHistory, SlotId};
 pub use minibatch::{BatchPool, MiniBatch};
 pub use sample::Sample;
-pub use shard::ShardedCollector;
-pub(crate) use shard::ShardedCollectorState;

@@ -188,7 +188,9 @@ impl Histogram {
     }
 
     /// The bucket upper bound at or above quantile `q` (0.0..=1.0) — a
-    /// conservative (rounded-up-to-bucket) latency quantile. 0 when empty.
+    /// conservative (rounded-up-to-bucket) latency quantile, clamped to
+    /// [`Histogram::max_ns`] so no quantile exceeds the largest observed
+    /// event. 0 when empty.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
@@ -199,10 +201,10 @@ impl Histogram {
         for (index, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Histogram::bucket_upper_bound_ns(index);
+                return Histogram::bucket_upper_bound_ns(index).min(self.max_ns);
             }
         }
-        Histogram::bucket_upper_bound_ns(Histogram::BUCKETS - 1)
+        self.max_ns
     }
 
     /// Folds another histogram into this one (used by fleet-wide
@@ -448,9 +450,23 @@ mod tests {
         h.add(1_000_000); // one outlier
         assert_eq!(h.quantile_ns(0.5), 128);
         assert_eq!(h.quantile_ns(0.99), 128);
-        assert_eq!(h.quantile_ns(1.0), 1 << 20);
+        // The outlier's bucket bound is 2^20 ns; the quantile stops at the
+        // observed maximum instead.
+        assert_eq!(h.quantile_ns(1.0), 1_000_000);
         let mean = h.mean_ns();
         assert!(mean > 100.0 && mean < 11_000.0);
+    }
+
+    #[test]
+    fn histogram_quantiles_never_exceed_the_max() {
+        let mut h = Histogram::default();
+        for ns in [20_000u64, 25_000, 28_380] {
+            h.add(ns); // all in bucket (16384, 32768]
+        }
+        assert_eq!(h.max_ns(), 28_380);
+        assert_eq!(h.quantile_ns(0.5), 28_380);
+        assert!(h.quantile_ns(0.99) <= h.max_ns());
+        assert_eq!(h.quantile_ns(0.99), 28_380);
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl FleetStats {
 
     /// The conservative `q`-quantile of a stage's merged histogram: the
     /// upper bound (ns) of the first bucket at which the cumulative count
-    /// reaches `q * total` — same rounding as
+    /// reaches `q * total`, clamped to the stage's max — same rounding as
     /// [`Histogram::quantile_ns`](insitu::telemetry::Histogram::quantile_ns).
     fn quantile_ns(stage: &StageStats, q: f64) -> u64 {
         if stage.count == 0 {
@@ -214,7 +214,7 @@ impl FleetStats {
         for (i, &bucket) in stage.buckets.iter().enumerate() {
             seen += bucket;
             if seen >= rank {
-                return 1u64 << i;
+                return (1u64 << i).min(stage.max_ns);
             }
         }
         stage.max_ns

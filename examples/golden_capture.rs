@@ -9,8 +9,8 @@
 //! CI's `golden-drift` job can regenerate the dump and `git diff
 //! --exit-code` it against the checked-in copy. The reference values were
 //! captured from the row-oriented (pre-columnar) pipeline; every later
-//! data-path refactor (columnar batches, slot-indexed store, sharded
-//! collection) must reproduce them bit for bit.
+//! data-path refactor (columnar batches, slot-indexed store) must
+//! reproduce them bit for bit.
 //!
 //! If a future change intentionally alters the training arithmetic, rerun
 //! this example, commit the regenerated file, paste the new constants into

@@ -4,7 +4,7 @@
 //! style as `property_invariants.rs` — no proptest dependency):
 //!
 //! 1. **Continuation**: for random analysis shapes (lag, batch capacity,
-//!    model order, retention, inline/background/sharded execution) and a
+//!    model order, retention, inline/background execution) and a
 //!    random checkpoint boundary, snapshot + restore + continue is
 //!    bit-identical to never having stopped.
 //! 2. **Fail-closed**: random damage to a valid snapshot — truncation,
@@ -18,8 +18,6 @@ use insitu::model::{ConvergenceCriteria, OptimizerKind, TrainerConfig};
 use insitu::region::AnalysisSpec;
 use insitu::{Error, IterParam};
 use parsim::{ParallelConfig, ThreadPool};
-use simkit::decomposition::BlockDecomposition;
-use simkit::index::Extents;
 
 /// xorshift64* — deterministic, dependency-free case generator.
 struct Rng(u64);
@@ -55,8 +53,8 @@ struct Case {
     batch_capacity: usize,
     order: usize,
     window: Option<usize>,
-    /// 0 = inline, 1 = background, 2+ = sharded with that many shards.
-    exec: usize,
+    /// Background training (inline otherwise).
+    background: bool,
     split: u64,
     total: u64,
 }
@@ -72,27 +70,17 @@ impl Case {
                 0 => None,
                 _ => Some(rng.range_usize(32, 96)),
             },
-            exec: match rng.range_usize(0, 4) {
-                0 => 0,
-                1 => 1,
-                n => n, // 2 or 3 shards
-            },
+            background: rng.range_usize(0, 2) == 1,
             split: rng.range_u64(20, total - 20),
             total,
         }
     }
 
     fn config(&self) -> EngineConfig {
-        match self.exec {
-            0 => EngineConfig::inline(),
-            1 => EngineConfig::background(ThreadPool::new(ParallelConfig::new(1, 2).unwrap())),
-            shards => {
-                let extents = Extents::new(16, 1, 1).unwrap();
-                EngineConfig::sharded(
-                    BlockDecomposition::new(extents, shards).unwrap(),
-                    ThreadPool::serial(),
-                )
-            }
+        if self.background {
+            EngineConfig::background(ThreadPool::new(ParallelConfig::new(1, 2).unwrap()))
+        } else {
+            EngineConfig::inline()
         }
     }
 
@@ -188,8 +176,8 @@ fn snapshots_continue_bit_identically_across_random_shapes() {
         let got = after.status(region).unwrap();
         assert_eq!(
             got, expected,
-            "seed {seed}: restored run diverged (split {} of {}, exec {})",
-            case.split, case.total, case.exec
+            "seed {seed}: restored run diverged (split {} of {}, background {})",
+            case.split, case.total, case.background
         );
         assert!(
             got.batches_trained > 0,
