@@ -2,8 +2,8 @@
 //!
 //! One fixed shape ladder per kernel, timed once against the canonical
 //! scalar reference and once against the host's best dispatch
-//! ([`insitu::kernels::select`]). `bench_columnar` and `bench_history`
-//! record these rows into their committed `BENCH_*.json` artifacts (keyed
+//! ([`insitu::kernels::select`]). `bench_columnar` records these rows into
+//! its committed `BENCH_columnar.json` artifact (keyed
 //! `"kernel_speedup"`, deliberately not a substring hit for the pipeline
 //! `"speedup":` scans), and `perf_smoke` re-measures the same shapes to
 //! enforce the committed geomean at its floor.
@@ -82,8 +82,8 @@ fn assert_agree(scalar: f64, dispatched: f64, what: &str) {
 }
 
 /// The training-side kernel rows recorded in `BENCH_columnar.json`:
-/// bulk z-score transform (divide and reciprocal-multiply variants),
-/// input-energy reduction, gradient epoch, loss reduction, and the order-3
+/// reciprocal-multiply bulk z-score transform, input-energy reduction,
+/// gradient epoch, loss reduction, and the order-3
 /// affine predict (the extraction path's shape; too short to vectorize
 /// well — committed as an honest ~1× row).
 pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
@@ -117,10 +117,6 @@ pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
     );
 
     let mut cases = Vec::new();
-    let mut buf = values.clone();
-    cases.push(time_pair("transform_n3072", runs, 64, |k| {
-        k.transform(&mut buf, 0.37, 2.25);
-    }));
     // The reciprocal-multiply z-score variant (1/σ precomputed, `mul`
     // instead of `div`) — the kernel the scaler routes through in the
     // `fma`/tolerance tier. Elementwise mul, so scalar and dispatched are
@@ -148,22 +144,6 @@ pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
     cases
 }
 
-/// The store-side kernel row recorded in `BENCH_history.json`: the
-/// windowed peak re-scan (`max_seeded`) over a 4096-value column.
-pub fn measure_history_kernels(runs: usize) -> Vec<KernelCase> {
-    let n = 4096;
-    let mut values = vec![0.0; n];
-    fill(5, &mut values);
-    assert_agree(
-        kernels::scalar().max_seeded(f64::NEG_INFINITY, &values),
-        kernels::select().max_seeded(f64::NEG_INFINITY, &values),
-        "max_seeded",
-    );
-    vec![time_pair("peak_rescan_n4096", runs, 64, |k| {
-        std::hint::black_box(k.max_seeded(f64::NEG_INFINITY, &values));
-    })]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +155,6 @@ mod tests {
         assert_eq!(
             names,
             [
-                "transform_n3072",
                 "transform_recip_n3072",
                 "sum_squares_n3072",
                 "grad_epoch_rows256_order3",
@@ -187,7 +166,5 @@ mod tests {
             assert!(c.scalar_ns > 0.0 && c.dispatched_ns > 0.0, "{}", c.name);
             assert!(c.speedup().is_finite());
         }
-        let history = measure_history_kernels(3);
-        assert_eq!(history[0].name, "peak_rescan_n4096");
     }
 }

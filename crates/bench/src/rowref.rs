@@ -259,8 +259,8 @@ pub fn workload(locations: u64, iterations: u64) -> LayoutWorkload {
 }
 
 /// Drives the workload through the **row-oriented** pipeline: per-row
-/// `Vec` assembly (via the allocating `predictors_for`), `Vec<BatchRow>`
-/// batches drained by reallocation, row trainer. Returns
+/// `Vec` assembly (a fresh `Vec` filled by `write_predictors_for`),
+/// `Vec<BatchRow>` batches drained by reallocation, row trainer. Returns
 /// `(batches, last_loss)`.
 pub fn run_row_pipeline(w: &LayoutWorkload) -> (usize, f64) {
     let mut trainer = RowTrainer::new(
@@ -276,11 +276,13 @@ pub fn run_row_pipeline(w: &LayoutWorkload) -> (usize, f64) {
             let Some(target) = w.history.value_at(loc, iteration) else {
                 continue;
             };
-            // The allocating predictors_for is deprecated in the library but
-            // is exactly the per-row-allocation behaviour this reference
-            // pipeline exists to recreate.
-            #[allow(deprecated)]
-            if let Some(inputs) = w.assembler.predictors_for(&w.history, loc, iteration) {
+            // One fresh `Vec` per row: exactly the per-row-allocation
+            // behaviour this reference pipeline exists to recreate.
+            let mut inputs = vec![0.0; w.order];
+            if w.assembler
+                .write_predictors_for(&w.history, loc, iteration, &mut inputs)
+                .is_some()
+            {
                 batch.push(BatchRow { inputs, target });
             }
         }

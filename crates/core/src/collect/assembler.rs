@@ -134,7 +134,7 @@ impl BatchAssembler {
     ///
     /// This is the allocation-free kernel behind both batch assembly
     /// ([`BatchAssembler::append_rows_for_iteration`]) and forecasting
-    /// ([`BatchAssembler::predictors_for`]).
+    /// ([`Collector::write_predictors_for`](crate::collect::Collector::write_predictors_for)).
     pub fn write_predictors_for(
         &self,
         history: &SampleHistory,
@@ -172,26 +172,6 @@ impl BatchAssembler {
             }
         }
         Some(())
-    }
-
-    /// The predictor vector that would be used to *predict*
-    /// `V(location, iteration)`; the target itself does not need to have
-    /// been observed. Allocating convenience wrapper around
-    /// [`BatchAssembler::write_predictors_for`] for cold paths.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use the slice-writing \
-                `write_predictors_for`"
-    )]
-    pub fn predictors_for(
-        &self,
-        history: &SampleHistory,
-        location: usize,
-        iteration: u64,
-    ) -> Option<Vec<f64>> {
-        let mut inputs = vec![0.0; self.order];
-        self.write_predictors_for(history, location, iteration, &mut inputs)?;
-        Some(inputs)
     }
 
     /// Appends every row that can be formed for a given iteration across
@@ -332,7 +312,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn predictors_can_be_formed_without_observed_target() {
         let h = history();
         let asm = assembler(PredictorLayout::Spatial);
@@ -346,8 +325,10 @@ mod tests {
             IterParam::new(0, 200, 10).unwrap(),
         );
         assert!(row_for(&asm, &h, 9, 50).is_none());
-        let predictors = asm2.predictors_for(&h, 9, 50).unwrap();
-        assert_eq!(predictors, vec![8.5, 7.5, 6.5]);
+        let mut predictors = [0.0; 3];
+        asm2.write_predictors_for(&h, 9, 50, &mut predictors)
+            .unwrap();
+        assert_eq!(predictors, [8.5, 7.5, 6.5]);
     }
 
     #[test]

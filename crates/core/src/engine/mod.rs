@@ -1,12 +1,10 @@
 //! The in-situ engine: handle-based multi-region sessions with staged
 //! sampling, training and extraction.
 //!
-//! [`Engine`] is the library's primary entry point. Where the legacy
-//! [`Region`](crate::region::Region) type owns one group of analyses and
-//! trains inline on the simulation thread, an engine owns **many** regions
-//! and analyses behind copyable integer handles ([`RegionId`],
-//! [`AnalysisId`]) — mirroring the paper's C API, which also hands out ids —
-//! and splits every iteration into four explicit stages:
+//! [`Engine`] is the library's entry point. An engine owns one or more
+//! regions and their analyses behind copyable integer handles
+//! ([`RegionId`], [`AnalysisId`]) — mirroring the paper's C API, which also
+//! hands out ids — and splits every iteration into four explicit stages:
 //!
 //! 1. **sample** — batch-query each analysis' provider over its spatial
 //!    characteristic ([`VarProvider::fill`](crate::provider::VarProvider::fill)),
@@ -375,33 +373,16 @@ impl<D: ?Sized> Engine<D> {
     /// region of this engine, and [`Error::DuplicateName`] if the region
     /// already has an analysis with the spec's name.
     pub fn add_analysis(&mut self, region: RegionId, spec: AnalysisSpec<D>) -> Result<AnalysisId> {
-        if self
-            .regions
-            .get(region.0)
-            .is_some_and(|r| r.analyses.iter().any(|a| a.spec.name() == spec.name()))
-        {
+        let slot = self.regions.get_mut(region.0).ok_or(Error::UnknownHandle {
+            what: "region",
+            index: region.0,
+        })?;
+        if slot.analyses.iter().any(|a| a.spec.name() == spec.name()) {
             return Err(Error::DuplicateName {
                 what: "analysis",
                 name: spec.name().to_string(),
             });
         }
-        self.add_analysis_allow_duplicate(region, spec)
-    }
-
-    /// Registers an analysis without the duplicate-name check. Used by the
-    /// legacy [`Region`](crate::region::Region) shim, whose historical
-    /// contract accepted any number of same-named analyses (features are
-    /// then looked up by first match).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownHandle`] if `region` does not refer to a
-    /// region of this engine.
-    pub(crate) fn add_analysis_allow_duplicate(
-        &mut self,
-        region: RegionId,
-        spec: AnalysisSpec<D>,
-    ) -> Result<AnalysisId> {
         // Disabled telemetry gets a zero-capacity ring: the accessors stay
         // valid, the memory cost is nil, and nothing records into it.
         let telemetry_capacity = if self.timed {
@@ -409,10 +390,6 @@ impl<D: ?Sized> Engine<D> {
         } else {
             0
         };
-        let slot = self.regions.get_mut(region.0).ok_or(Error::UnknownHandle {
-            what: "region",
-            index: region.0,
-        })?;
         slot.analyses.push(Analysis::new(spec, telemetry_capacity));
         Ok(AnalysisId {
             region: region.0,
@@ -749,8 +726,7 @@ impl<D: ?Sized> Engine<D> {
     }
 
     /// Stamps the iteration on every region without sampling — the effect of
-    /// a dropped (uncompleted) [`StepScope`], and of the legacy
-    /// `td_region_begin`.
+    /// a dropped (uncompleted) [`StepScope`].
     pub(crate) fn stamp_iteration(&mut self, iteration: u64) {
         for region in &mut self.regions {
             region.status.iteration = iteration;
@@ -1269,6 +1245,54 @@ mod tests {
         let status = engine.status(region).unwrap();
         assert_eq!(status.iteration, 9);
         assert_eq!(status.samples_collected, 0);
+    }
+
+    #[test]
+    fn broadcaster_fires_once_per_completed_step() {
+        use std::sync::{Arc, Mutex};
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let mut engine: Engine<Pulse> = Engine::new();
+        let region = engine.add_region("bcast").unwrap();
+        engine.add_analysis(region, pulse_spec("velocity")).unwrap();
+        engine
+            .set_broadcaster(region, move |s: &RegionStatus| {
+                sink.lock().unwrap().push(s.iteration);
+            })
+            .unwrap();
+        let mut domain = Pulse::new();
+        for it in 0..10u64 {
+            // A skipped and a dropped scope before every completed one:
+            // neither may broadcast.
+            engine.step(it).skip();
+            {
+                let _scope = engine.step(it);
+            }
+            let step = engine.step(it);
+            domain.advance(it);
+            step.complete(&domain);
+        }
+        assert_eq!(*seen.lock().unwrap(), (0..10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn empty_region_reports_nothing() {
+        let mut engine: Engine<Pulse> = Engine::new();
+        let region = engine.add_region("empty").unwrap();
+        let report = engine.step(0).complete(&Pulse::new());
+        let status = report.region(region).unwrap();
+        assert_eq!(status.samples_collected, 0);
+        assert!(!status.converged);
+        assert!(!status.should_terminate);
+        assert!(!report.should_terminate());
+        assert!(!report.all_converged());
+    }
+
+    #[test]
+    fn front_location_tracks_the_pulse() {
+        let (engine, region) = run_engine(Engine::new(), 120);
+        let front = engine.status(region).unwrap().front_location.unwrap();
+        assert!((1..=12).contains(&front));
     }
 
     #[test]

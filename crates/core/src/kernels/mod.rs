@@ -1,4 +1,4 @@
-//! Explicit-width SIMD kernels for the five hot loops, with a scalar
+//! Explicit-width SIMD kernels for the training hot loops, with a scalar
 //! fallback that is **bit-identical by construction**.
 //!
 //! PRs 2–3 rebuilt [`MiniBatch`](crate::collect::MiniBatch) and
@@ -6,20 +6,23 @@
 //! stride-`order` SoA columns precisely so these loops would be
 //! vectorization-shaped; this module stops relying on whatever
 //! auto-vectorization LLVM finds and issues 4-lane `f64` instructions
-//! directly (`core::arch::x86_64` AVX2, NEON on aarch64). The kernels are
+//! directly (`core::arch::x86_64` AVX2). The dispatched kernels are
 //!
-//! * [`Kernels::transform`] — the bulk z-score transform
-//!   (`OnlineScaler::transform_in_place`); [`Kernels::transform_recip`]
-//!   is its reciprocal-multiply variant (`1/σ` precomputed, `mul` instead
-//!   of `div`), used by the scaler only in the `fma`/tolerance tier,
+//! * [`Kernels::transform_recip`] — the reciprocal-multiply bulk z-score
+//!   transform (`1/σ` precomputed, `mul` instead of `div`), used by the
+//!   scaler only in the `fma`/tolerance tier,
 //! * [`Kernels::sum_squares`] — the trainer's input-energy and
 //!   gradient-norm reductions,
 //! * [`Kernels::affine`] — the affine predict (`b0 + Σ bi·xi`,
 //!   `ArModel::predict_unchecked`),
 //! * [`Kernels::grad_epoch`] — one gradient-descent accumulation pass over
 //!   a whole columnar mini-batch,
-//! * [`Kernels::loss_sum`] — the post-update residual² reduction,
-//! * [`Kernels::max_seeded`] — the windowed peak re-scan in the slot store.
+//! * [`Kernels::loss_sum`] — the post-update residual² reduction.
+//!
+//! Two loops are plain scalar functions: [`transform`], the divide-bound
+//! bulk z-score transform (`OnlineScaler::transform_in_place`; its AVX2
+//! version ran at 1.00×), and [`max_seeded`], the windowed peak re-scan
+//! in the slot store (a cold path; its AVX2 version ran at 1.02–1.14×).
 //!
 //! # The 4-accumulator reduction convention
 //!
@@ -57,25 +60,24 @@
 //! Dispatch is resolved **once**, never per row: [`select`] probes the CPU
 //! with `is_x86_feature_detected!` on first use and caches a `&'static`
 //! [`Kernels`] vtable of plain function pointers. The trainer stores the
-//! vtable per instance; serializable types (`ArModel`, `SampleHistory`)
-//! call [`select`] at the call site, which after the first probe is a
-//! single atomic load. `INSITU_KERNELS=scalar` in the environment (read
-//! once) or the `force-scalar` cargo feature pin the scalar path — under
-//! default features that changes timing only, never results.
+//! vtable per instance; serializable types (`ArModel`) call [`select`] at
+//! the call site, which after the first probe is a single atomic load.
+//! Only x86-64 has SIMD variants; every other target runs the scalar
+//! reference. `INSITU_KERNELS=scalar` in the environment (read once) pins
+//! the scalar path — under default features that changes timing only,
+//! never results.
 
-// The SIMD submodules are the one place the crate meets `core::arch`; the
+// The SIMD submodule is the one place the crate meets `core::arch`; the
 // crate-wide `#![deny(unsafe_code)]` stays in force everywhere else, and
 // the only unsafe surface here is intrinsic calls + raw-slice pointer
 // arithmetic proven in-bounds by the loop structure.
 mod scalar;
 
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86;
 
-#[cfg(all(target_arch = "aarch64", not(feature = "force-scalar")))]
-#[allow(unsafe_code)]
-mod neon;
+pub use scalar::{max_seeded, transform};
 
 use std::sync::OnceLock;
 
@@ -91,9 +93,6 @@ pub enum Dispatch {
     /// results differ from scalar within tolerance (only built under the
     /// `fma` cargo feature).
     Avx2Fma,
-    /// NEON 128-bit pairs emulating the 4-lane convention (bit-identical
-    /// to scalar).
-    Neon,
 }
 
 impl Dispatch {
@@ -103,7 +102,6 @@ impl Dispatch {
             Dispatch::Scalar => "scalar",
             Dispatch::Avx2 => "avx2",
             Dispatch::Avx2Fma => "avx2+fma",
-            Dispatch::Neon => "neon",
         }
     }
 }
@@ -120,13 +118,11 @@ type GradEpochFn = fn(&[f64], &[f64], f64, &[f64], &mut [f64], &mut [f64]);
 #[derive(Debug, Clone, Copy)]
 pub struct Kernels {
     dispatch: Dispatch,
-    transform: fn(&mut [f64], f64, f64),
     transform_recip: fn(&mut [f64], f64, f64),
     sum_squares: fn(&[f64]) -> f64,
     affine: fn(f64, &[f64], &[f64]) -> f64,
     grad_epoch: GradEpochFn,
     loss_sum: fn(&[f64], &[f64], f64, &[f64]) -> f64,
-    max_seeded: fn(f64, &[f64]) -> f64,
 }
 
 impl Kernels {
@@ -140,19 +136,11 @@ impl Kernels {
         self.dispatch.name()
     }
 
-    /// In-place z-score transform: `v = (v - mean) / std_dev` for every
-    /// element. Purely elementwise, so every dispatch (including `fma`)
-    /// produces identical bits.
-    #[inline]
-    pub fn transform(&self, values: &mut [f64], mean: f64, std_dev: f64) {
-        (self.transform)(values, mean, std_dev);
-    }
-
     /// Reciprocal-multiply z-score transform: `v = (v - mean) * inv_std`
     /// with `inv_std = 1/σ` precomputed once by the caller, trading the
     /// per-element divide for a multiply. Elementwise, so every dispatch
     /// produces identical bits for the *same* `inv_std`; relative to
-    /// [`Kernels::transform`] the single rounding of `1/σ` makes this the
+    /// [`transform`] the single rounding of `1/σ` makes this the
     /// tolerance-tier variant — the scaler only routes through it under
     /// the `fma` feature.
     #[inline]
@@ -244,15 +232,6 @@ impl Kernels {
         );
         (self.loss_sum)(inputs, targets, intercept, coeffs)
     }
-
-    /// Max-reduction of `values` seeded with `seed` in every lane — the
-    /// windowed peak re-scan. Uses `vmaxpd` semantics (`if a > b { a }
-    /// else { b }`), so for the store's non-NaN samples the result equals
-    /// `values.iter().fold(seed, f64::max)` bit for bit.
-    #[inline]
-    pub fn max_seeded(&self, seed: f64, values: &[f64]) -> f64 {
-        (self.max_seeded)(seed, values)
-    }
 }
 
 /// The canonical lane combine: `(l0 + l2) + (l1 + l3)`, the exact shape of
@@ -266,13 +245,11 @@ pub fn hsum4(lanes: [f64; 4]) -> f64 {
 
 static SCALAR: Kernels = Kernels {
     dispatch: Dispatch::Scalar,
-    transform: scalar::transform,
     transform_recip: scalar::transform_recip,
     sum_squares: scalar::sum_squares,
     affine: scalar::affine,
     grad_epoch: scalar::grad_epoch,
     loss_sum: scalar::loss_sum,
-    max_seeded: scalar::max_seeded,
 };
 
 /// The scalar reference kernels — always available, and the normative
@@ -288,7 +265,7 @@ pub fn scalar() -> &'static Kernels {
 pub fn candidates() -> Vec<&'static Kernels> {
     #[allow(unused_mut)]
     let mut sets = vec![scalar()];
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             sets.push(&x86::AVX2);
@@ -298,10 +275,6 @@ pub fn candidates() -> Vec<&'static Kernels> {
             }
         }
     }
-    #[cfg(all(target_arch = "aarch64", not(feature = "force-scalar")))]
-    {
-        sets.push(&neon::NEON);
-    }
     sets
 }
 
@@ -309,8 +282,8 @@ static SELECTED: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// The kernel set the process runs on: the most capable [`candidates`]
 /// entry, unless `INSITU_KERNELS=scalar` is set in the environment (read
-/// once, on first call) or the crate was built with `force-scalar`.
-/// Detection runs once; afterwards this is an atomic load.
+/// once, on first call). Detection runs once; afterwards this is an atomic
+/// load.
 pub fn select() -> &'static Kernels {
     SELECTED.get_or_init(|| {
         if matches!(
@@ -343,7 +316,7 @@ mod tests {
     fn scalar_transform_matches_elementwise_definition() {
         let mut values = series(11);
         let expect: Vec<f64> = values.iter().map(|v| (v - 1.5) / 2.0).collect();
-        scalar().transform(&mut values, 1.5, 2.0);
+        transform(&mut values, 1.5, 2.0);
         for (got, want) in values.iter().zip(&expect) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
@@ -433,15 +406,15 @@ mod tests {
         for n in 0..=9 {
             let values = series(n);
             let want = values.iter().copied().fold(-2.5, f64::max);
-            assert_eq!(scalar().max_seeded(-2.5, &values).to_bits(), want.to_bits());
+            assert_eq!(max_seeded(-2.5, &values).to_bits(), want.to_bits());
         }
     }
 
     #[test]
     fn max_seeded_keeps_the_seed_over_an_empty_scan() {
-        assert_eq!(scalar().max_seeded(3.25, &[]).to_bits(), 3.25f64.to_bits());
+        assert_eq!(max_seeded(3.25, &[]).to_bits(), 3.25f64.to_bits());
         assert_eq!(
-            scalar().max_seeded(f64::NEG_INFINITY, &[]).to_bits(),
+            max_seeded(f64::NEG_INFINITY, &[]).to_bits(),
             f64::NEG_INFINITY.to_bits()
         );
     }
@@ -452,7 +425,7 @@ mod tests {
         let second = select();
         assert!(std::ptr::eq(first, second));
         assert_eq!(first.name(), active());
-        assert!(["scalar", "avx2", "avx2+fma", "neon"].contains(&active()));
+        assert!(["scalar", "avx2", "avx2+fma"].contains(&active()));
     }
 
     #[test]

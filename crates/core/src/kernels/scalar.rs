@@ -3,7 +3,8 @@
 //! docs). The SIMD paths must reproduce these bit for bit under the
 //! default feature set; the row-dimension tail helpers here are shared by
 //! the SIMD implementations so both paths literally run the same code on
-//! leftover rows.
+//! leftover rows. [`transform`] and [`max_seeded`] have no SIMD variant
+//! and are exported as plain functions.
 
 use super::hsum4;
 
@@ -11,7 +12,7 @@ use super::hsum4;
 /// operands compare equal (including `+0.0` vs `-0.0`). `if a > b` lowers
 /// to exactly `maxsd a, b` on x86.
 #[inline]
-pub(super) fn vmax(a: f64, b: f64) -> f64 {
+fn vmax(a: f64, b: f64) -> f64 {
     if a > b {
         a
     } else {
@@ -21,22 +22,14 @@ pub(super) fn vmax(a: f64, b: f64) -> f64 {
 
 /// The canonical lane-max combine: `vmax(vmax(l0, l2), vmax(l1, l3))`.
 #[inline]
-pub(super) fn hmax4(lanes: [f64; 4]) -> f64 {
+fn hmax4(lanes: [f64; 4]) -> f64 {
     vmax(vmax(lanes[0], lanes[2]), vmax(lanes[1], lanes[3]))
 }
 
-/// Finishes a max-reduction: folds the remainder elements into lanes
-/// `0..rem.len()` and combines. Shared verbatim by the SIMD paths after
-/// they spill their vector accumulator.
-#[inline]
-pub(super) fn max_finish(mut lanes: [f64; 4], rem: &[f64]) -> f64 {
-    for (lane, &v) in lanes.iter_mut().zip(rem) {
-        *lane = vmax(*lane, v);
-    }
-    hmax4(lanes)
-}
-
-pub(super) fn transform(values: &mut [f64], mean: f64, std_dev: f64) {
+/// In-place z-score transform: `v = (v - mean) / std_dev` for every
+/// element. Divide-bound, so a SIMD variant measured no faster and this
+/// scalar loop is the only implementation.
+pub fn transform(values: &mut [f64], mean: f64, std_dev: f64) {
     for v in values {
         *v = (*v - mean) / std_dev;
     }
@@ -171,7 +164,13 @@ pub(super) fn loss_sum(inputs: &[f64], targets: &[f64], intercept: f64, coeffs: 
     hsum4(lanes)
 }
 
-pub(super) fn max_seeded(seed: f64, values: &[f64]) -> f64 {
+/// Max-reduction of `values` seeded with `seed` in every lane — the
+/// windowed peak re-scan. Element `i` folds into lane `i & 3` with
+/// `vmaxpd` semantics (`if a > b { a } else { b }`) and the lanes combine
+/// as `vmax(vmax(l0, l2), vmax(l1, l3))`, so for the store's non-NaN
+/// samples the result equals `values.iter().fold(seed, f64::max)` bit for
+/// bit.
+pub fn max_seeded(seed: f64, values: &[f64]) -> f64 {
     let mut lanes = [seed; 4];
     let mut chunks = values.chunks_exact(4);
     for chunk in &mut chunks {
@@ -179,5 +178,8 @@ pub(super) fn max_seeded(seed: f64, values: &[f64]) -> f64 {
             *lane = vmax(*lane, v);
         }
     }
-    max_finish(lanes, chunks.remainder())
+    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = vmax(*lane, v);
+    }
+    hmax4(lanes)
 }

@@ -123,28 +123,6 @@ macro_rules! avx2_module {
                 _mm256_add_pd(b0, dot)
             }
 
-            pub(in crate::kernels) fn transform(values: &mut [f64], mean: f64, std_dev: f64) {
-                // SAFETY: vtable constructed only after AVX2 detection.
-                unsafe { transform_impl(values, mean, std_dev) }
-            }
-
-            #[target_feature(enable = $feat)]
-            unsafe fn transform_impl(values: &mut [f64], mean: f64, std_dev: f64) {
-                let n = values.len();
-                let p = values.as_mut_ptr();
-                let m = _mm256_set1_pd(mean);
-                let s = _mm256_set1_pd(std_dev);
-                let mut i = 0;
-                while i + 4 <= n {
-                    let v = _mm256_loadu_pd(p.add(i));
-                    _mm256_storeu_pd(p.add(i), _mm256_div_pd(_mm256_sub_pd(v, m), s));
-                    i += 4;
-                }
-                for v in values[i..].iter_mut() {
-                    *v = (*v - mean) / std_dev;
-                }
-            }
-
             pub(in crate::kernels) fn transform_recip(values: &mut [f64], mean: f64, inv_std: f64) {
                 // SAFETY: vtable constructed only after AVX2 detection.
                 unsafe { transform_recip_impl(values, mean, inv_std) }
@@ -315,24 +293,6 @@ macro_rules! avx2_module {
                 scalar::loss_rows(inputs, targets, intercept, coeffs, &mut lanes, blocks * 4);
                 hsum4(lanes)
             }
-
-            pub(in crate::kernels) fn max_seeded(seed: f64, values: &[f64]) -> f64 {
-                // SAFETY: vtable constructed only after AVX2 detection.
-                unsafe { max_seeded_impl(seed, values) }
-            }
-
-            #[target_feature(enable = $feat)]
-            unsafe fn max_seeded_impl(seed: f64, values: &[f64]) -> f64 {
-                let n = values.len();
-                let p = values.as_ptr();
-                let mut acc = _mm256_set1_pd(seed);
-                let mut i = 0;
-                while i + 4 <= n {
-                    acc = _mm256_max_pd(acc, _mm256_loadu_pd(p.add(i)));
-                    i += 4;
-                }
-                scalar::max_finish(spill(acc), &values[i..])
-            }
         }
     };
 }
@@ -346,13 +306,11 @@ avx2_module!(avx2_fma, "avx2,fma", fused);
 /// `kernels::candidates()` only after `is_x86_feature_detected!("avx2")`.
 pub(super) static AVX2: Kernels = Kernels {
     dispatch: Dispatch::Avx2,
-    transform: avx2::transform,
     transform_recip: avx2::transform_recip,
     sum_squares: avx2::sum_squares,
     affine: avx2::affine,
     grad_epoch: avx2::grad_epoch,
     loss_sum: avx2::loss_sum,
-    max_seeded: avx2::max_seeded,
 };
 
 /// The fused-multiply-add vtable (tolerance contract). Handed out only
@@ -360,13 +318,11 @@ pub(super) static AVX2: Kernels = Kernels {
 #[cfg(feature = "fma")]
 pub(super) static AVX2_FMA: Kernels = Kernels {
     dispatch: Dispatch::Avx2Fma,
-    transform: avx2_fma::transform,
     transform_recip: avx2_fma::transform_recip,
     sum_squares: avx2_fma::sum_squares,
     affine: avx2_fma::affine,
     grad_epoch: avx2_fma::grad_epoch,
     loss_sum: avx2_fma::loss_sum,
-    max_seeded: avx2_fma::max_seeded,
 };
 
 #[cfg(test)]
@@ -393,22 +349,9 @@ mod tests {
                 let coeffs = series(order);
                 let intercept = 0.375;
 
-                let mut a = inputs.clone();
-                let mut b = inputs.clone();
-                scalar::transform(&mut a, 1.25, 0.5);
-                AVX2.transform(&mut b, 1.25, 0.5);
-                assert_eq!(
-                    a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-
                 assert_eq!(
                     scalar::sum_squares(&inputs).to_bits(),
                     AVX2.sum_squares(&inputs).to_bits()
-                );
-                assert_eq!(
-                    scalar::max_seeded(0.5, &targets).to_bits(),
-                    AVX2.max_seeded(0.5, &targets).to_bits()
                 );
                 if rows > 0 {
                     let row = &inputs[..order];

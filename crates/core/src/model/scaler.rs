@@ -99,12 +99,13 @@ impl OnlineScaler {
     /// trainer passes its per-instance vtable so the whole batch path uses
     /// one dispatch decision). Only the fused dispatch — already the
     /// tolerance tier — takes the reciprocal-multiply path; the strict
-    /// vtables (scalar, AVX2, NEON) keep the bit-exact divide.
+    /// vtables (scalar, AVX2) keep the bit-exact scalar divide
+    /// ([`crate::kernels::transform`]).
     pub fn transform_in_place_with(&self, kernels: &crate::kernels::Kernels, values: &mut [f64]) {
         if kernels.dispatch() == crate::kernels::Dispatch::Avx2Fma {
             kernels.transform_recip(values, self.mean, self.std_dev().recip());
         } else {
-            kernels.transform(values, self.mean, self.std_dev());
+            crate::kernels::transform(values, self.mean, self.std_dev());
         }
     }
 

@@ -67,14 +67,18 @@ impl RegionStatus {
 
 /// Publishes a region's status to the other ranks of a parallel run.
 ///
-/// The core library is runtime-agnostic: the default [`NullBroadcaster`]
-/// does nothing (single-rank runs), and the proxy applications install a
-/// broadcaster backed by the `parsim` world so the broadcast's cost shows up
-/// in the overhead measurements exactly as the MPI broadcast does in the
-/// paper.
+/// The core library is runtime-agnostic: a region starts with the
+/// [`NullBroadcaster`], which does nothing (single-rank runs), and the
+/// paper-table drivers install one backed by the `parsim` world through
+/// [`Engine::set_broadcaster`](crate::engine::Engine::set_broadcaster), so
+/// the broadcast's cost shows up in the overhead measurements exactly as
+/// the MPI broadcast does in the paper.
 pub trait StatusBroadcaster: Send {
-    /// Publishes the status; called once per iteration from
-    /// [`Region::end`](crate::region::Region::end).
+    /// Publishes the status; called once per completed
+    /// [`StepScope`](crate::engine::StepScope) (never for a skipped or
+    /// dropped one), and whenever [`Engine::poll`](crate::engine::Engine::poll)
+    /// or [`Engine::drain`](crate::engine::Engine::drain) refreshes the
+    /// status.
     fn broadcast(&mut self, status: &RegionStatus);
 }
 

@@ -215,18 +215,6 @@ impl BlockDecomposition {
         }
     }
 
-    /// Total-coverage variant of [`BlockDecomposition::owner_of`] for the
-    /// in-situ collection layer: every location id maps to *some* rank, so a
-    /// sharded collector can partition an arbitrary spatial characteristic
-    /// without pre-validating it against the grid. In-range elements map to
-    /// their owner; out-of-range ids (diagnostic channels, synthetic probe
-    /// ids) are spread round-robin over the ranks. The assignment is a pure
-    /// function of `(element, decomposition)` — deterministic across runs,
-    /// which is what keeps sharded collection reproducible.
-    pub fn shard_of(&self, element: usize) -> usize {
-        self.owner_of(element).unwrap_or(element % self.ranks)
-    }
-
     /// The rank whose sub-domain contains the grid origin. The paper's
     /// analysis broadcasts from the rank that observes the wave front; the
     /// blast originates at the origin, so this is the initial front owner.
@@ -307,19 +295,5 @@ mod tests {
     fn owner_of_out_of_bounds_errors() {
         let dec = BlockDecomposition::new(Extents::cubic(2), 1).unwrap();
         assert!(dec.owner_of(8).is_err());
-    }
-
-    #[test]
-    fn shard_of_covers_every_location_id() {
-        let dec = BlockDecomposition::new(Extents::cubic(6), 8).unwrap();
-        // In range: identical to ownership.
-        for e in 0..dec.extents().len() {
-            assert_eq!(dec.shard_of(e), dec.owner_of(e).unwrap());
-        }
-        // Out of range: deterministic round-robin, always a valid rank.
-        for e in [216usize, 1000, usize::MAX / 2] {
-            assert!(dec.owner_of(e).is_err());
-            assert_eq!(dec.shard_of(e), e % 8);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property test: every kernel dispatch reproduces the scalar reference.
 //!
 //! The `insitu::kernels` contract is that the SIMD paths change the
-//! instruction mix, never the arithmetic: AVX2 and NEON follow the same
+//! instruction mix, never the arithmetic: AVX2 follows the same
 //! four-accumulator reduction tree as the restructured scalar code, so
 //! their results are **bitwise identical** — including signed zeros,
 //! subnormals, and catastrophic-cancellation mixes. The one sanctioned
@@ -99,28 +99,7 @@ fn non_scalar_candidates() -> Vec<&'static Kernels> {
 /// Lengths around the 4-lane group boundary plus larger odd/even sizes.
 const LENGTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 256, 1021];
 
-#[test]
-fn transform_is_elementwise_identical() {
-    let mut rng = XorShift::new(0xA11CE);
-    for k in non_scalar_candidates() {
-        for len in LENGTHS {
-            let mut raw = vec![0.0; len];
-            fill(&mut rng, &mut raw);
-            for (mean, std) in [(0.0, 1.0), (3.5, 0.25), (-1e3, 42.0), (1e-3, 1e3)] {
-                let mut want = raw.clone();
-                kernels::scalar().transform(&mut want, mean, std);
-                let mut got = raw.clone();
-                k.transform(&mut got, mean, std);
-                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert_matches(*w, *g, k, &format!("transform len {len} elem {i}"));
-                }
-            }
-        }
-    }
-}
-
-/// The reciprocal-multiply z-score variant: like `transform` it is purely
-/// elementwise, so **every** dispatch — including the fused one, which has
+/// The reciprocal-multiply z-score variant: it is purely elementwise, so **every** dispatch — including the fused one, which has
 /// no multiply-add to contract here — must reproduce the scalar reference
 /// bit for bit for the same `inv_std`. Against the divide-based transform
 /// it is the tolerance relationship: `(v - μ)·(1/σ)` differs from
@@ -151,7 +130,7 @@ fn transform_recip_is_bitwise_across_dispatches_and_near_the_divide() {
             }
             // Tolerance leg: recip-multiply vs the divide-based reference.
             let mut divided = raw.clone();
-            kernels::scalar().transform(&mut divided, mean, std);
+            kernels::transform(&mut divided, mean, std);
             for (i, (d, r)) in divided.iter().zip(&want).enumerate() {
                 if !d.is_finite() {
                     continue;
@@ -257,38 +236,14 @@ fn grad_epoch_and_loss_are_identical_over_batches() {
     }
 }
 
-#[test]
-fn max_seeded_matches_scalar_including_signed_zero_ties() {
-    let mut rng = XorShift::new(0xFEED);
-    for k in non_scalar_candidates() {
-        for len in LENGTHS {
-            for seed in [f64::NEG_INFINITY, -0.0, 0.0, 2.5, 1e300] {
-                let mut values = vec![0.0; len];
-                fill(&mut rng, &mut values);
-                let want = kernels::scalar().max_seeded(seed, &values);
-                let got = k.max_seeded(seed, &values);
-                // max never reassociates into new values, so even the fused
-                // dispatch must agree bitwise.
-                assert_eq!(
-                    want.to_bits(),
-                    got.to_bits(),
-                    "max_seeded len {len} seed {seed:e}: {} diverged \
-                     (scalar {want:e}, got {got:e})",
-                    k.name()
-                );
-            }
-        }
-    }
-}
-
 /// End-to-end check of the one call site that re-reduces history data:
 /// under windowed retention, overwriting the visible peak with a smaller
 /// same-iteration value forces the store to re-scan the survivors with the
-/// dispatched `max_seeded` kernel, seeded by the evicted peak. Whatever
-/// dispatch is active, the result must equal a naive scan of everything
-/// ever recorded (with the overwrite applied).
+/// four-lane `max_seeded` reduction, seeded by the evicted peak. The result
+/// must equal a naive scan of everything ever recorded (with the overwrite
+/// applied).
 #[test]
-fn windowed_peak_rescan_is_dispatch_independent() {
+fn windowed_peak_rescan_matches_a_naive_fold() {
     use insitu::collect::{Retention, Sample, SampleHistory};
 
     let mut rng = XorShift::new(0x5EED);
