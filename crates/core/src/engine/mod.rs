@@ -79,7 +79,7 @@ use crate::region::{AnalysisSpec, ExitAction, NullBroadcaster, RegionStatus, Sta
 use crate::snapshot::{
     corrupt, parse_container, Container, Dec, Enc, SECTION_ENGINE, SECTION_REGION,
 };
-use crate::telemetry::{self, Recorder, ShedPolicy, Stage, StepBudget, TelemetryConfig};
+use crate::telemetry::{self, Recorder, Stage, StepBudget, TelemetryConfig};
 
 use analysis::{put_feature, take_feature, Analysis, AnalysisState};
 
@@ -124,10 +124,9 @@ pub struct EngineConfig {
     /// environment variable enables it, or [`EngineConfig::budget`] is
     /// set). See [`crate::telemetry`].
     pub telemetry: TelemetryConfig,
-    /// Per-step cost budget and overload policy (default: none). When the
-    /// EWMA of measured step cost crosses the budget, the engine sheds
-    /// deterministically per [`ShedPolicy`] instead of stalling the
-    /// simulation step; shed decisions are recorded as
+    /// Per-step cost budget (default: none). When the EWMA of measured
+    /// step cost crosses the budget, the engine defers extraction instead
+    /// of stalling the simulation step; shed decisions are recorded as
     /// [`Stage::Shed`] telemetry events.
     pub budget: Option<StepBudget>,
 }
@@ -237,7 +236,6 @@ pub struct Engine<D: ?Sized> {
 /// Live overload-control state derived from [`EngineConfig::budget`].
 struct BudgetState {
     limit_ns: u64,
-    policy: ShedPolicy,
     /// EWMA (α = 1/8) of measured step cost; 0 until the first step.
     ewma_ns: u64,
 }
@@ -278,7 +276,6 @@ impl<D: ?Sized> Engine<D> {
         let timed = config.telemetry_enabled();
         let budget = config.budget.map(|b| BudgetState {
             limit_ns: u64::try_from(b.limit.as_nanos()).unwrap_or(u64::MAX),
-            policy: b.policy,
             ewma_ns: 0,
         });
         Self {
@@ -386,7 +383,7 @@ impl<D: ?Sized> Engine<D> {
         // Disabled telemetry gets a zero-capacity ring: the accessors stay
         // valid, the memory cost is nil, and nothing records into it.
         let telemetry_capacity = if self.timed {
-            self.config.telemetry.ring_capacity
+            TelemetryConfig::DEFAULT_RING_CAPACITY
         } else {
             0
         };
@@ -751,70 +748,59 @@ impl<D: ?Sized> Engine<D> {
         // previous steps' cost EWMA: the degraded step does strictly less
         // work than a full one (shed, never stall), and the decision order
         // is deterministic with respect to the measurements that drove it.
-        let overloaded = self.budget.as_ref().is_some_and(|b| b.ewma_ns > b.limit_ns);
-        let (defer_extract, skip_collect) = match self.budget.as_ref().map(|b| b.policy) {
-            Some(ShedPolicy::DeferExtraction) if overloaded => (true, false),
-            Some(ShedPolicy::CoarsenSampling { stride }) if overloaded => {
-                (false, !iteration.is_multiple_of(u64::from(stride.max(2))))
-            }
-            _ => (false, false),
-        };
-        let shed = defer_extract || skip_collect;
+        let shed = self.budget.as_ref().is_some_and(|b| b.ewma_ns > b.limit_ns);
         let mut stage_ns = [0u64; Stage::COUNT];
 
         // Stages 1–3 per analysis: sample, assemble, and train a filled
         // batch. Each trainer consumes only its own batches, in order, so
-        // inline and background runs stay bit-identical. A coarsening shed
-        // skips collection for this iteration entirely.
-        if !skip_collect {
-            for region in &mut self.regions {
-                let mut samples_this_iteration = 0;
-                for analysis in &mut region.analyses {
-                    let clock = stage_clock(timed);
-                    let samples = analysis.sample(iteration, domain);
-                    let sample_ns = stage_elapsed(clock);
-                    samples_this_iteration += samples;
-                    let clock = stage_clock(timed);
-                    let assembled = analysis.assemble(iteration);
-                    let assemble_ns = stage_elapsed(clock);
-                    // The train clock charges the simulation thread's share:
-                    // the full fit inline, the queue/pump handoff in
-                    // background mode.
-                    let clock = stage_clock(timed && (background || assembled.is_some()));
-                    let (loss, trained) = match assembled {
-                        Some(batch) if background => {
-                            (analysis.queue_batch(batch, &self.config.pool), true)
-                        }
-                        Some(batch) => (analysis.train_inline(batch), true),
-                        None if background => {
-                            // Keep reclaiming finished jobs even on iterations
-                            // that produced no batch.
-                            let loss = analysis.pump(&self.config.pool);
-                            (loss, loss.is_some())
-                        }
-                        None => (None, false),
-                    };
-                    let train_ns = stage_elapsed(clock);
-                    if let Some(loss) = loss {
-                        region.status.last_loss = Some(loss);
+        // inline and background runs stay bit-identical.
+        for region in &mut self.regions {
+            let mut samples_this_iteration = 0;
+            for analysis in &mut region.analyses {
+                let clock = stage_clock(timed);
+                let samples = analysis.sample(iteration, domain);
+                let sample_ns = stage_elapsed(clock);
+                samples_this_iteration += samples;
+                let clock = stage_clock(timed);
+                let assembled = analysis.assemble(iteration);
+                let assemble_ns = stage_elapsed(clock);
+                // The train clock charges the simulation thread's share:
+                // the full fit inline, the queue/pump handoff in
+                // background mode.
+                let clock = stage_clock(timed && (background || assembled.is_some()));
+                let (loss, trained) = match assembled {
+                    Some(batch) if background => {
+                        (analysis.queue_batch(batch, &self.config.pool), true)
                     }
-                    if timed {
-                        analysis
-                            .telemetry
-                            .record(Stage::Sample, iteration, sample_ns);
-                        analysis
-                            .telemetry
-                            .record(Stage::Assemble, iteration, assemble_ns);
-                        stage_ns[Stage::Sample as usize] += sample_ns;
-                        stage_ns[Stage::Assemble as usize] += assemble_ns;
-                        if trained {
-                            analysis.telemetry.record(Stage::Train, iteration, train_ns);
-                        }
-                        stage_ns[Stage::Train as usize] += train_ns;
+                    Some(batch) => (analysis.train_inline(batch), true),
+                    None if background => {
+                        // Keep reclaiming finished jobs even on iterations
+                        // that produced no batch.
+                        let loss = analysis.pump(&self.config.pool);
+                        (loss, loss.is_some())
                     }
+                    None => (None, false),
+                };
+                let train_ns = stage_elapsed(clock);
+                if let Some(loss) = loss {
+                    region.status.last_loss = Some(loss);
                 }
-                region.status.samples_collected += samples_this_iteration;
+                if timed {
+                    analysis
+                        .telemetry
+                        .record(Stage::Sample, iteration, sample_ns);
+                    analysis
+                        .telemetry
+                        .record(Stage::Assemble, iteration, assemble_ns);
+                    stage_ns[Stage::Sample as usize] += sample_ns;
+                    stage_ns[Stage::Assemble as usize] += assemble_ns;
+                    if trained {
+                        analysis.telemetry.record(Stage::Train, iteration, train_ns);
+                    }
+                    stage_ns[Stage::Train as usize] += train_ns;
+                }
             }
+            region.status.samples_collected += samples_this_iteration;
         }
 
         // Stage 4: extract, refresh and broadcast. A deferring shed skips
@@ -833,8 +819,7 @@ impl<D: ?Sized> Engine<D> {
         let mut statuses = Vec::with_capacity(self.regions.len());
         for region in &mut self.regions {
             for analysis in &mut region.analyses {
-                if !defer_extract
-                    && (analysis.is_done(iteration) || analysis.collector.finished(iteration))
+                if !shed && (analysis.is_done(iteration) || analysis.collector.finished(iteration))
                 {
                     let clock = stage_clock(timed);
                     analysis.try_extract();
@@ -853,8 +838,7 @@ impl<D: ?Sized> Engine<D> {
         }
 
         // Budget accounting: fold this step's measured cost into the EWMA
-        // (α = 1/8, the serve crate's service-time constant) and the
-        // cumulative total. Untimed engines skip all of this — stage_ns
+        // (α = 1/8) and the cumulative total. Untimed engines skip all of this — stage_ns
         // stays zero.
         let step_cost: u64 = stage_ns[Stage::Sample as usize]
             + stage_ns[Stage::Assemble as usize]
@@ -1559,10 +1543,7 @@ mod tests {
 
         let analysis = engine.analysis_id(region, 0).unwrap();
         let recorder = engine.telemetry(analysis).unwrap();
-        assert_eq!(
-            recorder.capacity(),
-            TelemetryConfig::default().ring_capacity
-        );
+        assert_eq!(recorder.capacity(), TelemetryConfig::DEFAULT_RING_CAPACITY);
         assert_eq!(recorder.histogram(Stage::Sample).count(), 120);
         assert_eq!(recorder.histogram(Stage::Assemble).count(), 120);
         assert!(recorder.histogram(Stage::Train).count() > 0);
@@ -1608,8 +1589,8 @@ mod tests {
         assert_eq!(recorder.histogram(Stage::Sample).count(), 0);
     }
 
-    /// A budget so tight every step overloads it: with
-    /// [`ShedPolicy::DeferExtraction`] the engine sheds continuously, yet
+    /// A budget so tight every step overloads it: the engine defers
+    /// extraction continuously, yet
     /// after `drain` (which always extracts) the terminal state is
     /// bit-identical to an unbudgeted run — deferral never changes bits.
     #[test]
@@ -1644,40 +1625,5 @@ mod tests {
         assert_eq!(engine.telemetry(analysis).unwrap().sheds(), 300);
 
         assert_same_terminal_state(&reference, reference_region, &engine, region);
-    }
-
-    /// Coarsening under continuous overload deterministically drops the
-    /// off-stride collection iterations: two identical runs agree exactly,
-    /// and both collect fewer samples than the unbudgeted engine.
-    #[test]
-    fn coarsen_sampling_skips_off_stride_iterations_deterministically() {
-        let (reference, reference_region) = run_engine(Engine::new(), 301);
-        let coarse = || {
-            let config = EngineConfig {
-                budget: Some(StepBudget {
-                    limit: std::time::Duration::from_nanos(1),
-                    policy: ShedPolicy::CoarsenSampling { stride: 4 },
-                }),
-                ..EngineConfig::default()
-            };
-            run_engine(Engine::with_config(config), 301)
-        };
-        let (a, ra) = coarse();
-        let (b, rb) = coarse();
-        assert!(a.shed_steps() > 0);
-        assert_eq!(a.shed_steps(), b.shed_steps());
-        assert_eq!(
-            a.status(ra).unwrap().samples_collected,
-            b.status(rb).unwrap().samples_collected,
-            "coarsening must be deterministic"
-        );
-        assert!(
-            a.status(ra).unwrap().samples_collected
-                < reference
-                    .status(reference_region)
-                    .unwrap()
-                    .samples_collected,
-            "coarsening must actually drop samples"
-        );
     }
 }

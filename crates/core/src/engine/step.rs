@@ -102,8 +102,8 @@ impl StepReport {
         self.ewma_cost_ns
     }
 
-    /// Whether the overload policy shed work this step (deferred extraction
-    /// or skipped a coarsened collection iteration).
+    /// Whether the overload policy shed work this step (deferred
+    /// extraction).
     pub fn shed(&self) -> bool {
         self.shed
     }

@@ -101,8 +101,6 @@ pub mod prelude {
     pub use crate::region::{
         AnalysisMethod, AnalysisSpec, ExitAction, RegionStatus, StatusBroadcaster,
     };
-    pub use crate::telemetry::{
-        Histogram, Recorder, ShedPolicy, Stage, StepBudget, TelemetryConfig,
-    };
+    pub use crate::telemetry::{Histogram, Recorder, Stage, StepBudget, TelemetryConfig};
     pub use crate::tracking::{PeakDetector, TrackedPoint, TrackedPointKind};
 }

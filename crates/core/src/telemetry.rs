@@ -300,38 +300,26 @@ impl Recorder {
 
 /// Telemetry settings of one engine
 /// ([`EngineConfig::telemetry`](crate::engine::EngineConfig::telemetry)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// `Some(true)`/`Some(false)` force telemetry on/off for this engine;
     /// `None` (the default) defers to the `INSITU_TELEMETRY` environment
     /// variable. A configured [`StepBudget`] forces telemetry on either
     /// way — overload control needs the stage clocks.
     pub enabled: Option<bool>,
-    /// Events retained per analysis (default
-    /// [`TelemetryConfig::DEFAULT_RING_CAPACITY`]). The ring is allocated
-    /// once when the analysis is armed.
-    pub ring_capacity: usize,
 }
 
 impl TelemetryConfig {
-    /// Default ring capacity: enough to cover the recent window of any
-    /// realistic cadence without measurable memory cost (~6 KiB/analysis).
+    /// Events retained per timed analysis: enough to cover the recent
+    /// window of any realistic cadence without measurable memory cost
+    /// (~6 KiB/analysis). The ring is allocated once when the analysis is
+    /// armed.
     pub const DEFAULT_RING_CAPACITY: usize = 256;
 
     /// Telemetry forced on for this engine.
     pub fn on() -> Self {
         Self {
             enabled: Some(true),
-            ..Self::default()
-        }
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            enabled: None,
-            ring_capacity: Self::DEFAULT_RING_CAPACITY,
         }
     }
 }
@@ -348,54 +336,32 @@ pub fn env_enabled() -> bool {
     })
 }
 
-/// A per-step cost budget plus the degradation policy to apply when the
-/// exponentially-weighted moving average of step cost crosses it
+/// A per-step cost budget, enforced against the exponentially-weighted
+/// moving average of step cost
 /// ([`EngineConfig::budget`](crate::engine::EngineConfig::budget)).
 ///
 /// The engine never stalls the simulation to enforce the budget — it
 /// **sheds**: the decision is taken at the *start* of a step from the
-/// previous steps' EWMA (deterministic ordering), the degraded step does
-/// strictly less work, and every shed is recorded as a [`Stage::Shed`]
-/// telemetry event. Once load subsides the EWMA decays below the limit
-/// and the engine resumes the full pipeline on its own.
+/// previous steps' EWMA (deterministic ordering), and every shed is
+/// recorded as a [`Stage::Shed`] telemetry event. An overloaded step
+/// skips the extract stage; extraction happens on the next
+/// non-overloaded step (or [`drain`](crate::engine::Engine::drain) /
+/// [`extract_now`](crate::engine::Engine::extract_now)). Extraction is a
+/// pure function of the collected store and fitted model, so deferring
+/// it **never changes the extracted bits** — once load subsides the
+/// EWMA decays below the limit, the engine resumes the full pipeline on
+/// its own, and the features are identical to a run that never shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepBudget {
     /// The per-step cost the EWMA is compared against.
     pub limit: Duration,
-    /// What to degrade while overloaded.
-    pub policy: ShedPolicy,
 }
 
 impl StepBudget {
-    /// A budget with the default policy ([`ShedPolicy::DeferExtraction`]).
+    /// A budget of `limit` per step.
     pub fn new(limit: Duration) -> Self {
-        Self {
-            limit,
-            policy: ShedPolicy::default(),
-        }
+        Self { limit }
     }
-}
-
-/// What an overloaded step gives up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Skip the extract stage while overloaded; extraction happens on the
-    /// next non-overloaded step (or [`drain`](crate::engine::Engine::drain)
-    /// / [`extract_now`](crate::engine::Engine::extract_now)). Extraction
-    /// is a pure function of the collected store and fitted model, so
-    /// deferring it **never changes the extracted bits** — once load
-    /// subsides the features are identical to a run that never shed.
-    #[default]
-    DeferExtraction,
-    /// Skip sample/assemble/train entirely on overloaded iterations that
-    /// are not multiples of `stride` (values below 2 are treated as 2).
-    /// This bounds in-situ cost under sustained overload but **changes
-    /// what is collected** — use it when staying inside the budget
-    /// matters more than sample completeness.
-    CoarsenSampling {
-        /// Keep every `stride`-th iteration while overloaded.
-        stride: u32,
-    },
 }
 
 #[cfg(test)]

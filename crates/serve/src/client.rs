@@ -19,39 +19,10 @@ use std::time::Duration;
 
 use insitu::region::FeatureValue;
 
+use crate::reactor::Stream;
 use crate::wire::{
     read_frame, write_frame, Frame, SessionSpec, SessionStatus, SessionTelemetry, WireError,
 };
-
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn split(&self) -> std::io::Result<(Box<dyn std::io::Read>, Box<dyn Write>)> {
-        Ok(match self {
-            Stream::Tcp(s) => (
-                Box::new(s.try_clone()?) as Box<dyn std::io::Read>,
-                Box::new(s.try_clone()?) as Box<dyn Write>,
-            ),
-            Stream::Unix(s) => (Box::new(s.try_clone()?), Box::new(s.try_clone()?)),
-        })
-    }
-
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-            Stream::Unix(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-        }
-    }
-}
 
 /// A server-pushed feature report, received out-of-band on a subscribed
 /// connection and stashed until [`Client::take_events`] drains it.
@@ -68,11 +39,8 @@ pub struct FeatureEvent {
 /// One connection to an analysis server, able to multiplex any number of
 /// sessions.
 pub struct Client {
-    /// The underlying socket, retained for deadline control; all I/O
-    /// goes through the buffered clone halves below.
-    stream: Stream,
-    reader: BufReader<Box<dyn std::io::Read>>,
-    writer: BufWriter<Box<dyn Write>>,
+    reader: BufReader<Stream>,
+    writer: BufWriter<Stream>,
     scratch_in: Vec<u8>,
     scratch_out: Vec<u8>,
     events: VecDeque<FeatureEvent>,
@@ -114,11 +82,9 @@ impl Client {
     }
 
     fn new(stream: Stream) -> std::io::Result<Self> {
-        let (read, write) = stream.split()?;
         Ok(Self {
-            stream,
-            reader: BufReader::new(read),
-            writer: BufWriter::new(write),
+            writer: BufWriter::new(stream.try_clone()?),
+            reader: BufReader::new(stream),
             scratch_in: Vec::new(),
             scratch_out: Vec::new(),
             events: VecDeque::new(),
@@ -134,7 +100,9 @@ impl Client {
     /// [`Client::connect_tcp_retry`]) and resurrect sessions from their
     /// last snapshot with [`Client::restore`].
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_timeout(timeout)
+        // Deadlines are per socket: setting them on the read half covers
+        // the write half's shared descriptor too.
+        self.reader.get_ref().set_timeout(timeout)
     }
 
     /// Sends one frame without waiting for a reply.

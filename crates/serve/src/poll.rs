@@ -12,9 +12,10 @@
 //!   per wakeup but dependency-free and available everywhere the serve
 //!   crate builds.
 //!
-//! Set `INSITU_SERVE_POLLER=poll` to force the fallback on Linux — CI
-//! runs the reactor suite through both backends that way. Error and
-//! hang-up conditions (`EPOLLERR`/`EPOLLHUP`, `POLLERR`/`POLLHUP`) are
+//! [`Poller::new`] picks epoll on Linux and `poll(2)` elsewhere;
+//! [`Poller::with_backend`] builds either explicitly, which is how the
+//! unit tests below exercise both backends on Linux. Error and hang-up
+//! conditions (`EPOLLERR`/`EPOLLHUP`, `POLLERR`/`POLLHUP`) are
 //! reported as *readable* (and writable, when write interest is armed):
 //! the subsequent read observes the actual error or EOF, which keeps the
 //! reactor's teardown logic in exactly one place.
@@ -63,16 +64,9 @@ enum Impl {
 }
 
 impl Poller {
-    /// Creates a poller on the platform's preferred backend (epoll on
-    /// Linux, `poll(2)` elsewhere), honoring `INSITU_SERVE_POLLER=poll`
-    /// or `=epoll` as an override.
+    /// Creates a poller on the platform's preferred backend: epoll on
+    /// Linux, `poll(2)` elsewhere.
     pub fn new() -> io::Result<Self> {
-        match std::env::var("INSITU_SERVE_POLLER").as_deref() {
-            Ok("poll") => return Self::with_backend(PollBackend::Poll),
-            #[cfg(target_os = "linux")]
-            Ok("epoll") => return Self::with_backend(PollBackend::Epoll),
-            _ => {}
-        }
         #[cfg(target_os = "linux")]
         {
             Self::with_backend(PollBackend::Epoll)

@@ -76,6 +76,22 @@ impl Stream {
         }
     }
 
+    /// Applies `timeout` as both the read and the write deadline (`None`
+    /// clears both). Deadlines belong to the socket, so every clone
+    /// shares them.
+    pub fn set_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => {
+                s.set_read_timeout(timeout)?;
+                s.set_write_timeout(timeout)
+            }
+            Stream::Unix(s) => {
+                s.set_read_timeout(timeout)?;
+                s.set_write_timeout(timeout)
+            }
+        }
+    }
+
     /// Shuts the socket down in both directions.
     pub fn shutdown_both(&self) {
         let _ = match self {

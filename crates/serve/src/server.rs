@@ -21,8 +21,8 @@
 //! on the event thread) to a **worker lane** — a dedicated thread owning
 //! a disjoint set of sessions. Lanes spend their idle time blocked on
 //! their command channel, so [`ServerConfig::workers`] is honored as
-//! given: a small host still gets the configured lane structure (and
-//! with it testable rebalancing), it just timeslices the lanes.
+//! given: a small host still gets the configured lane structure, it just
+//! timeslices the lanes.
 //!
 //! **Backpressure is shed-don't-stall**: every session carries an
 //! inflight gauge counting `StepSamples` frames queued to its lane but
@@ -35,18 +35,10 @@
 //! `Unsubscribe`) bypass the gauge so a client can always drain state
 //! from a busy session.
 //!
-//! **Lanes rebalance dynamically**: sessions are placed round-robin at
-//! open, but workloads skew — one hot session can back its lane up while
-//! others idle. The router tracks per-lane queue depth and a per-session
-//! service-time EWMA; when a step finds its lane's backlog at least
-//! [`ServerConfig::rebalance_depth`] deeper than the lightest lane's
-//! (hysteresis, so balanced load never thrashes) and the session is past
-//! its migration cooldown, the session's engine is handed to the lighter
-//! lane at that step boundary. Migration is a `Migrate` → `Adopt`
-//! command handoff between the lanes; commands routed to the new lane
-//! before the state arrives are parked and drained in order, so
-//! per-session FIFO — and therefore bit-identical extraction — is
-//! preserved. [`Server::migrations`] counts completed handoffs.
+//! **Sessions stay on the lane they open on**: session `id` lives on lane
+//! `id % workers` for its whole life. Every command for a session goes
+//! down that one lane's channel, so per-session FIFO — and therefore
+//! bit-identical extraction — holds by construction.
 //!
 //! **Subscriptions stream features**: a client that sends
 //! [`Frame::Subscribe`] gets a [`Frame::FeatureEvent`] pushed whenever a
@@ -69,14 +61,14 @@
 //! `catch_unwind`, evicts the poisoned session, answers
 //! [`ErrorCode::Internal`], and keeps serving its other sessions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use insitu::region::FeatureValue;
 
@@ -105,14 +97,6 @@ pub struct ServerConfig {
     /// stops reading past it is disconnected instead of buffered
     /// without bound.
     pub outbuf_cap: usize,
-    /// Lane-rebalancing hysteresis: migrate a stepping session when its
-    /// lane's queue is at least this much deeper than the lightest
-    /// lane's (and at least this deep in absolute terms). Zero disables
-    /// rebalancing.
-    pub rebalance_depth: usize,
-    /// Minimum routed steps between two migrations of the same session,
-    /// so a borderline session does not ping-pong between lanes.
-    pub rebalance_cooldown: u64,
 }
 
 impl Default for ServerConfig {
@@ -123,8 +107,6 @@ impl Default for ServerConfig {
             event_threads: 2,
             idle_timeout: Duration::from_secs(10),
             outbuf_cap: 16 << 20,
-            rebalance_depth: 16,
-            rebalance_cooldown: 64,
         }
     }
 }
@@ -142,8 +124,6 @@ enum Command {
         locations: Vec<u64>,
         values: Vec<f64>,
         inflight: Arc<AtomicUsize>,
-        /// The session's service-time EWMA, updated by the lane.
-        service_ns: Arc<AtomicU64>,
         conn: Arc<ConnHandle>,
     },
     Extract {
@@ -187,22 +167,10 @@ enum Command {
         data: Vec<u8>,
         conn: Arc<ConnHandle>,
     },
-    /// Rebalancing: the receiving lane owns `session` and must hand its
-    /// state to the lane behind `to` (as a [`Command::Adopt`]).
-    Migrate {
-        session: u64,
-        to: Sender<Command>,
-    },
-    /// Rebalancing: the migrated session state, arriving at its new
-    /// lane. Lane-to-lane, never produced by the router.
-    Adopt {
-        session: u64,
-        state: Box<LaneSession>,
-    },
 }
 
 impl Command {
-    /// The session a command addresses, for the migration parking gate.
+    /// The session a command addresses, which also picks its lane.
     fn session_id(&self) -> u64 {
         match self {
             Command::Open { session, .. }
@@ -215,9 +183,7 @@ impl Command {
             | Command::Subscribe { session, .. }
             | Command::Unsubscribe { session, .. }
             | Command::Snapshot { session, .. }
-            | Command::Restore { session, .. }
-            | Command::Migrate { session, .. }
-            | Command::Adopt { session, .. } => *session,
+            | Command::Restore { session, .. } => *session,
         }
     }
 
@@ -236,13 +202,11 @@ impl Command {
             | Command::Snapshot { conn, .. }
             | Command::Restore { conn, .. } => Some(Arc::clone(conn)),
             Command::Close { conn, .. } => conn.as_ref().map(Arc::clone),
-            Command::Migrate { .. } | Command::Adopt { .. } => None,
         }
     }
 }
 
-/// A session as owned by its worker lane, with streaming state. Boxed
-/// through [`Command::Adopt`] when it migrates between lanes.
+/// A session as owned by its worker lane, with streaming state.
 struct LaneSession {
     session: Session,
     /// Connection receiving [`Frame::FeatureEvent`] pushes, if any.
@@ -251,36 +215,13 @@ struct LaneSession {
     pushed: Vec<(String, FeatureValue)>,
 }
 
-/// Routing record for one open session.
-struct Entry {
-    lane: usize,
-    inflight: Arc<AtomicUsize>,
-    /// EWMA of per-step service time in nanoseconds (0 = no step
-    /// measured yet; such sessions are never migrated).
-    service_ns: Arc<AtomicU64>,
-    /// Steps routed so far, the clock for the migration cooldown.
-    steps_routed: u64,
-    /// `steps_routed` at the last migration decision.
-    last_migrated: u64,
-    /// A `Migrate`/`Adopt` handoff is in flight: the new lane parks this
-    /// session's commands until the state arrives.
-    migrating: bool,
-    /// `CloseSession` has been routed: no further migrations.
-    closing: bool,
-}
-
 /// State shared by the accept thread, the router, and the worker lanes.
 struct Shared {
-    sessions: Mutex<HashMap<u64, Entry>>,
+    /// Every open session's inflight gauge, keyed by session id.
+    sessions: Mutex<HashMap<u64, Arc<AtomicUsize>>>,
     next_session: AtomicU64,
     running: AtomicBool,
     inflight_limit: usize,
-    /// Commands queued to each lane but not yet processed.
-    lane_depth: Vec<AtomicUsize>,
-    /// Completed lane migrations (observable via [`Server::migrations`]).
-    migrations: AtomicU64,
-    rebalance_depth: usize,
-    rebalance_cooldown: u64,
 }
 
 /// The reactor-facing frame router: decoded frames arrive here (on the
@@ -336,11 +277,6 @@ impl Server {
         self.tcp_addr
     }
 
-    /// Completed session-to-lighter-lane migrations since startup.
-    pub fn migrations(&self) -> u64 {
-        self.shared.migrations.load(Ordering::Relaxed)
-    }
-
     fn start(
         listener: Listener,
         tcp_addr: Option<SocketAddr>,
@@ -354,10 +290,6 @@ impl Server {
             next_session: AtomicU64::new(1),
             running: AtomicBool::new(true),
             inflight_limit: config.inflight_limit.max(1),
-            lane_depth: (0..lane_count).map(|_| AtomicUsize::new(0)).collect(),
-            migrations: AtomicU64::new(0),
-            rebalance_depth: config.rebalance_depth,
-            rebalance_cooldown: config.rebalance_cooldown.max(1),
         });
 
         let mut senders = Vec::with_capacity(lane_count);
@@ -369,7 +301,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-lane-{me}"))
-                    .spawn(move || lane_loop(rx, shared_for_lane, me))?,
+                    .spawn(move || lane_loop(rx, shared_for_lane))?,
             );
         }
 
@@ -426,9 +358,7 @@ impl Server {
         }
         // The router is now the last holder of the lane senders:
         // dropping it disconnects the channels and the lanes exit,
-        // dropping their sessions (which joins training work). A
-        // `Migrate` still queued holds a sender to its target lane, but
-        // only until the owning lane drains it — the cascade terminates.
+        // dropping their sessions (which joins training work).
         self.router = None;
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -469,15 +399,21 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, reactor: Arc<Reactor>) {
 }
 
 impl Router {
-    /// Queues a command to a lane, keeping the depth gauge consistent.
-    /// `false` means the lane is gone (server stopping).
-    fn dispatch(&self, lane: usize, cmd: Command) -> bool {
-        self.shared.lane_depth[lane].fetch_add(1, Ordering::AcqRel);
-        if self.lanes[lane].send(cmd).is_ok() {
-            return true;
-        }
-        self.shared.lane_depth[lane].fetch_sub(1, Ordering::AcqRel);
-        false
+    /// Queues a command to the lane owning its session (`session %
+    /// lanes`). `false` means the lane is gone (server stopping).
+    fn dispatch(&self, cmd: Command) -> bool {
+        let lane = cmd.session_id() as usize % self.lanes.len();
+        self.lanes[lane].send(cmd).is_ok()
+    }
+
+    /// Whether `session` is in the routing table: open, or closing but
+    /// not yet dropped by its lane.
+    fn is_open(&self, session: u64) -> bool {
+        self.shared
+            .sessions
+            .lock()
+            .expect("session table")
+            .contains_key(&session)
     }
 
     /// Routes a session-addressed control command (gauge-exempt).
@@ -487,56 +423,13 @@ impl Router {
         session: u64,
         make: impl FnOnce(Arc<ConnHandle>) -> Command,
     ) {
-        let lane = {
-            let table = self.shared.sessions.lock().expect("session table");
-            match table.get(&session) {
-                Some(entry) => entry.lane,
-                None => {
-                    reply_unknown(conn, session);
-                    return;
-                }
-            }
-        };
-        if !self.dispatch(lane, make(Arc::clone(conn))) {
+        if !self.is_open(session) {
+            reply_unknown(conn, session);
+            return;
+        }
+        if !self.dispatch(make(Arc::clone(conn))) {
             reply_error(conn, session, ErrorCode::Internal, "server stopping");
         }
-    }
-
-    /// The step-boundary rebalance check. Runs with the session table
-    /// locked and the entry mutably borrowed; returns the lane that must
-    /// receive a `Migrate` command when the decision fires (the entry is
-    /// already retargeted at that point).
-    fn rebalance(&self, entry: &mut Entry) -> Option<usize> {
-        let depth_gate = self.shared.rebalance_depth;
-        if depth_gate == 0
-            || entry.migrating
-            || entry.closing
-            || entry.service_ns.load(Ordering::Relaxed) == 0
-            || entry.steps_routed.wrapping_sub(entry.last_migrated) < self.shared.rebalance_cooldown
-        {
-            return None;
-        }
-        let here = self.shared.lane_depth[entry.lane].load(Ordering::Relaxed);
-        if here < depth_gate {
-            return None;
-        }
-        let (best, best_depth) = self
-            .shared
-            .lane_depth
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i, d.load(Ordering::Relaxed)))
-            .min_by_key(|&(_, depth)| depth)?;
-        // Hysteresis: only migrate across a real imbalance, so lanes
-        // under uniformly heavy load never shuffle sessions around.
-        if best == entry.lane || here < best_depth + depth_gate {
-            return None;
-        }
-        let from = entry.lane;
-        entry.lane = best;
-        entry.migrating = true;
-        entry.last_migrated = entry.steps_routed;
-        Some(from)
     }
 
     /// Admits a new session id into the table and dispatches its
@@ -545,21 +438,13 @@ impl Router {
     /// gone.
     fn admit(&self, conn: &Arc<ConnHandle>, make: impl FnOnce(u64, Arc<ConnHandle>) -> Command) {
         let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let lane = (session as usize) % self.lanes.len();
-        self.shared.sessions.lock().expect("session table").insert(
-            session,
-            Entry {
-                lane,
-                inflight: Arc::new(AtomicUsize::new(0)),
-                service_ns: Arc::new(AtomicU64::new(0)),
-                steps_routed: 0,
-                last_migrated: 0,
-                migrating: false,
-                closing: false,
-            },
-        );
+        self.shared
+            .sessions
+            .lock()
+            .expect("session table")
+            .insert(session, Arc::new(AtomicUsize::new(0)));
         conn.attach_session(session);
-        if !self.dispatch(lane, make(session, Arc::clone(conn))) {
+        if !self.dispatch(make(session, Arc::clone(conn))) {
             self.shared
                 .sessions
                 .lock()
@@ -578,27 +463,17 @@ impl Router {
         locations: Vec<u64>,
         values: Vec<f64>,
     ) {
-        let (target, inflight, service_ns, migrate_from) = {
-            let mut table = self.shared.sessions.lock().expect("session table");
-            let Some(entry) = table.get_mut(&session) else {
-                drop(table);
-                reply_unknown(conn, session);
-                return;
-            };
-            entry.steps_routed += 1;
-            let migrate_from = self.rebalance(entry);
-            (
-                entry.lane,
-                Arc::clone(&entry.inflight),
-                Arc::clone(&entry.service_ns),
-                migrate_from,
-            )
+        let inflight = self
+            .shared
+            .sessions
+            .lock()
+            .expect("session table")
+            .get(&session)
+            .map(Arc::clone);
+        let Some(inflight) = inflight else {
+            reply_unknown(conn, session);
+            return;
         };
-        if let Some(from) = migrate_from {
-            self.shared.migrations.fetch_add(1, Ordering::Relaxed);
-            let to = self.lanes[target].clone();
-            self.dispatch(from, Command::Migrate { session, to });
-        }
         // Shed-don't-stall: reserve an inflight slot or bounce.
         if !try_acquire(&inflight, self.shared.inflight_limit) {
             conn.send(&Frame::Busy {
@@ -613,10 +488,9 @@ impl Router {
             locations,
             values,
             inflight: Arc::clone(&inflight),
-            service_ns,
             conn: Arc::clone(conn),
         };
-        if !self.dispatch(target, cmd) {
+        if !self.dispatch(cmd) {
             inflight.fetch_sub(1, Ordering::AcqRel);
             reply_error(conn, session, ErrorCode::Internal, "server stopping");
         }
@@ -669,29 +543,19 @@ impl ConnEvents for Router {
                 self.route_control(conn, session, |conn| Command::Snapshot { session, conn });
             }
             Frame::CloseSession { session } => {
-                // The entry stays in the table (marked closing) until the
-                // lane has dropped the session: commands racing the close
-                // keep routing to the owner and resolve there, in order.
-                let lane = {
-                    let mut table = self.shared.sessions.lock().expect("session table");
-                    match table.get_mut(&session) {
-                        Some(entry) => {
-                            entry.closing = true;
-                            entry.lane
-                        }
-                        None => {
-                            drop(table);
-                            reply_unknown(conn, session);
-                            return;
-                        }
-                    }
-                };
+                // The entry stays in the table until the lane has dropped
+                // the session: commands racing the close keep routing to
+                // the owner and resolve there, in order.
+                if !self.is_open(session) {
+                    reply_unknown(conn, session);
+                    return;
+                }
                 conn.detach_session(session);
                 let cmd = Command::Close {
                     session,
                     conn: Some(Arc::clone(conn)),
                 };
-                if !self.dispatch(lane, cmd) {
+                if !self.dispatch(cmd) {
                     reply_error(conn, session, ErrorCode::Internal, "server stopping");
                 }
             }
@@ -718,23 +582,12 @@ impl ConnEvents for Router {
     fn on_close(&self, conn: &Arc<ConnHandle>) {
         // The connection is gone: evict every session it still owned.
         for session in conn.take_sessions() {
-            let lane = {
-                let mut table = self.shared.sessions.lock().expect("session table");
-                match table.get_mut(&session) {
-                    Some(entry) => {
-                        entry.closing = true;
-                        entry.lane
-                    }
-                    None => continue,
-                }
-            };
-            self.dispatch(
-                lane,
-                Command::Close {
+            if self.is_open(session) {
+                self.dispatch(Command::Close {
                     session,
                     conn: None,
-                },
-            );
+                });
+            }
         }
     }
 }
@@ -774,59 +627,27 @@ fn unknown_session(session: u64) -> Frame {
     }
 }
 
-/// Folds one observation into a service-time EWMA (α = 1/8), clamped
-/// away from zero so "has been measured" stays distinguishable.
-fn ewma_update(cell: &AtomicU64, sample_ns: u64) {
-    let old = cell.load(Ordering::Relaxed);
-    let new = if old == 0 {
-        sample_ns.max(1)
-    } else {
-        (old - old / 8 + sample_ns / 8).max(1)
-    };
-    cell.store(new, Ordering::Relaxed);
-}
-
 /// One worker lane: a dedicated thread owning its sessions outright —
 /// no locking on the session hot path; the channel is the
 /// synchronization.
 struct Lane {
-    me: usize,
     shared: Arc<Shared>,
     sessions: HashMap<u64, LaneSession>,
-    /// Commands for sessions migrating *to* this lane whose state has
-    /// not arrived yet; drained in order on `Adopt`.
-    parked: HashMap<u64, VecDeque<Command>>,
 }
 
-fn lane_loop(rx: Receiver<Command>, shared: Arc<Shared>, me: usize) {
+fn lane_loop(rx: Receiver<Command>, shared: Arc<Shared>) {
     let mut lane = Lane {
-        me,
         shared,
         sessions: HashMap::new(),
-        parked: HashMap::new(),
     };
     while let Ok(cmd) = rx.recv() {
-        lane.receive(cmd);
+        lane.handle_isolated(cmd);
     }
     // Channel disconnected: the server is shutting down. Sessions drop
     // here, joining their engines' in-flight work.
 }
 
 impl Lane {
-    fn receive(&mut self, cmd: Command) {
-        if let Command::Adopt { session, state } = cmd {
-            self.adopt(session, *state);
-            return;
-        }
-        let session = cmd.session_id();
-        if !self.sessions.contains_key(&session) && self.should_park(&cmd, session) {
-            self.parked.entry(session).or_default().push_back(cmd);
-            return;
-        }
-        self.handle_isolated(cmd);
-        self.shared.lane_depth[self.me].fetch_sub(1, Ordering::AcqRel);
-    }
-
     /// Runs [`Lane::handle`] under `catch_unwind`, so a panicking
     /// session — a buggy provider, or one deliberately poisoned through
     /// [`crate::fault`] — takes out that one session, not the lane
@@ -840,7 +661,6 @@ impl Lane {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(cmd)));
         if outcome.is_err() {
             self.sessions.remove(&session);
-            self.parked.remove(&session);
             self.shared
                 .sessions
                 .lock()
@@ -858,49 +678,8 @@ impl Lane {
         }
     }
 
-    /// True for session-addressed commands that outran their session's
-    /// in-flight migration to this lane: they wait for the `Adopt`.
-    /// `Open` creates the session and `Migrate` is only ever routed to
-    /// the current owner, so neither parks.
-    fn should_park(&self, cmd: &Command, session: u64) -> bool {
-        if matches!(cmd, Command::Open { .. } | Command::Migrate { .. }) {
-            return false;
-        }
-        let table = self.shared.sessions.lock().expect("session table");
-        table
-            .get(&session)
-            .is_some_and(|e| e.lane == self.me && e.migrating)
-    }
-
-    /// Installs migrated session state and replays its parked commands
-    /// in arrival order.
-    fn adopt(&mut self, session: u64, state: LaneSession) {
-        let still_open = {
-            let mut table = self.shared.sessions.lock().expect("session table");
-            match table.get_mut(&session) {
-                Some(entry) if entry.lane == self.me => {
-                    entry.migrating = false;
-                    true
-                }
-                // Closed while the state was in flight: drop it here,
-                // joining its in-flight work.
-                _ => false,
-            }
-        };
-        if still_open {
-            self.sessions.insert(session, state);
-        }
-        if let Some(queue) = self.parked.remove(&session) {
-            for cmd in queue {
-                self.handle_isolated(cmd);
-                self.shared.lane_depth[self.me].fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-
     fn handle(&mut self, cmd: Command) {
         match cmd {
-            Command::Adopt { .. } => unreachable!("Adopt is handled in receive"),
             Command::Open {
                 session,
                 spec,
@@ -937,31 +716,22 @@ impl Lane {
                 locations,
                 values,
                 inflight,
-                service_ns,
                 conn,
             } => {
                 let reply = match self.sessions.get_mut(&session) {
-                    Some(owned) => {
-                        let started = Instant::now();
-                        let outcome = owned.session.step(iteration, &locations, &values);
-                        ewma_update(
-                            &service_ns,
-                            started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                        );
-                        match outcome {
-                            Ok((samples, batches_trained)) => Frame::StepAck {
-                                session,
-                                iteration,
-                                samples,
-                                batches_trained,
-                            },
-                            Err(message) => Frame::ErrorReply {
-                                session,
-                                code: ErrorCode::Protocol,
-                                message,
-                            },
-                        }
-                    }
+                    Some(owned) => match owned.session.step(iteration, &locations, &values) {
+                        Ok((samples, batches_trained)) => Frame::StepAck {
+                            session,
+                            iteration,
+                            samples,
+                            batches_trained,
+                        },
+                        Err(message) => Frame::ErrorReply {
+                            session,
+                            code: ErrorCode::Protocol,
+                            message,
+                        },
+                    },
                     None => unknown_session(session),
                 };
                 inflight.fetch_sub(1, Ordering::AcqRel);
@@ -1096,18 +866,6 @@ impl Lane {
                         unknown_session(session)
                     };
                     conn.send(&reply);
-                }
-            }
-            Command::Migrate { session, to } => {
-                // Hand the state over. The `to` sender travels inside
-                // the command and drops right after, so no lane ever
-                // retains a sender to another lane — shutdown stays a
-                // simple channel-disconnect cascade.
-                if let Some(state) = self.sessions.remove(&session) {
-                    let _ = to.send(Command::Adopt {
-                        session,
-                        state: Box::new(state),
-                    });
                 }
             }
         }

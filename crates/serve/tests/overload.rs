@@ -3,8 +3,8 @@
 //!
 //! The engine's overload control must (a) shed deterministically while the
 //! per-step cost EWMA exceeds the budget, (b) stop shedding once the load
-//! disappears and the EWMA decays back under the limit, and (c) — under
-//! [`ShedPolicy::DeferExtraction`] — never change the bits the analysis
+//! disappears and the EWMA decays back under the limit, and (c) — since
+//! a shed only defers extraction — never change the bits the analysis
 //! ultimately serves. The expensive pipeline is driven by `serve::fault`'s
 //! stall hook from inside the analysis *provider*, so the injected latency
 //! lands inside the engine's own Sample stage clock (a lane-level stall

@@ -366,20 +366,16 @@ fn slow_readers_are_disconnected_at_the_outbuf_cap() {
     server.shutdown();
 }
 
-/// The rebalancing acceptance property: a hot session driven with a deep
-/// pipeline on an otherwise idle server **must migrate** between lanes
-/// (hysteresis crossed) and its features must stay bit-identical to the
-/// in-process engine — migration moves state, never reorders or drops a
-/// step.
+/// A session driven with a deep pipeline on a two-lane server gets its
+/// acks back in step order and its features bit-identical to the
+/// in-process engine — pipelining never reorders or drops a step.
 #[test]
-fn hot_sessions_migrate_between_lanes_without_perturbing_features() {
+fn pipelined_steps_on_a_two_lane_server_ack_in_order_and_match_in_process() {
     let server = Server::bind_tcp(
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
             inflight_limit: 32,
-            rebalance_depth: 2,
-            rebalance_cooldown: 4,
             ..ServerConfig::default()
         },
     )
@@ -399,10 +395,9 @@ fn hot_sessions_migrate_between_lanes_without_perturbing_features() {
     let session = client.open_session(spec()).expect("open");
 
     // Drive the session with a sliding window of 8 pipelined steps: deep
-    // enough to keep the owning lane's queue past the depth gate (2) on
-    // every routing decision, shallow enough (< inflight_limit) that no
-    // step is ever shed — shedding would break the step order and the
-    // bit-identity this test pins.
+    // enough to keep the owning lane's queue busy, shallow enough
+    // (< inflight_limit) that no step is ever shed — shedding would break
+    // the step order and the bit-identity this test pins.
     const STEPS: u64 = 600;
     const WINDOW: u64 = 8;
     let locations: Vec<u64> = (1..=8).collect();
@@ -446,12 +441,7 @@ fn hot_sessions_migrate_between_lanes_without_perturbing_features() {
     assert_eq!(
         served,
         reference.extract(),
-        "migration perturbed the served features"
-    );
-    assert!(
-        server.migrations() >= 1,
-        "a hot session pipelined 8-deep against a 2-step hysteresis gate \
-         never migrated — rebalancing is not firing"
+        "pipelining perturbed the served features"
     );
     client.close_session(session).expect("close");
     server.shutdown();
